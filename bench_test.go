@@ -5,7 +5,10 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"net/http"
+	"net/http/httptest"
 	"testing"
 
 	"repro/internal/core"
@@ -13,6 +16,9 @@ import (
 	"repro/internal/experiments"
 	"repro/internal/lsm"
 	"repro/internal/query"
+	"repro/internal/series"
+	"repro/internal/server"
+	"repro/internal/server/api"
 	"repro/internal/tsdb"
 	"repro/internal/workload"
 )
@@ -127,6 +133,56 @@ func BenchmarkScan(b *testing.B) {
 			b.Fatal("empty scan")
 		}
 	}
+}
+
+// BenchmarkScanEncode measures serving one 500-point scan: "rows" is the
+// per-point wire encoding alone, "handler" the whole /scan request through
+// the server's route table (parse, snapshot, merge, encode, buffer).
+func BenchmarkScanEncode(b *testing.B) {
+	const n = 500
+	db, err := tsdb.Open(tsdb.Config{
+		Engine:     lsm.Config{Policy: lsm.Conventional, MemBudget: 512},
+		AutoCreate: true,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	pts := make([]series.Point, 4*n)
+	for i := range pts {
+		pts[i] = series.Point{TG: int64(i) * 50, TA: int64(i)*50 + 7, V: 20 + float64(i%97)/8}
+	}
+	if err := db.PutBatch("s", pts); err != nil {
+		b.Fatal(err)
+	}
+	srv, err := server.New(server.Config{DB: db, CloseDB: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer srv.Close(context.Background())
+
+	b.Run("rows", func(b *testing.B) {
+		b.ReportAllocs()
+		var buf []byte
+		for i := 0; i < b.N; i++ {
+			buf = buf[:0]
+			for _, p := range pts[:n] {
+				buf = api.AppendPoint(buf, p.TG, p.TA, p.V)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+	})
+	b.Run("handler", func(b *testing.B) {
+		b.ReportAllocs()
+		path := fmt.Sprintf("/scan?series=s&lo=%d&hi=%d", pts[3*n].TG, pts[4*n-1].TG)
+		for i := 0; i < b.N; i++ {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+			if rec.Code != http.StatusOK {
+				b.Fatalf("status %d: %s", rec.Code, rec.Body)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/point")
+	})
 }
 
 // BenchmarkTSDBIngest measures the multi-series layer's per-point overhead

@@ -14,6 +14,7 @@ package api
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
@@ -359,6 +360,10 @@ func ParseLine(line string) (Point, error) {
 	v, err := strconv.ParseFloat(f[3], 64)
 	if err != nil {
 		return Point{}, fmt.Errorf("bad value %q", f[3])
+	}
+	// ParseFloat accepts NaN and ±Inf, which no JSON response can carry.
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return Point{}, fmt.Errorf("non-finite value %q", f[3])
 	}
 	p.V = v
 	return p, nil

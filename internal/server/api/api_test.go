@@ -31,6 +31,12 @@ func TestParseLineErrors(t *testing.T) {
 		"s x 2 3",        // bad t_g
 		"s 1 y 3",        // bad t_a
 		"s 1 2 notfloat", // bad value
+		"s 1 2 NaN",      // non-finite values: no JSON response can carry them
+		"s 1 2 Inf",
+		"s 1 2 +Inf",
+		"s 1 2 -Inf",
+		"s 1 2 infinity",
+		"s 1 2 1e999",
 	} {
 		if _, err := ParseLine(line); err == nil {
 			t.Errorf("ParseLine(%q) accepted", line)

@@ -21,7 +21,6 @@
 package server
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -37,9 +36,11 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/arena"
 	"repro/internal/index"
 	"repro/internal/lsm"
 	"repro/internal/metrics"
+	"repro/internal/query"
 	"repro/internal/series"
 	"repro/internal/server/api"
 	"repro/internal/tsdb"
@@ -392,12 +393,20 @@ func scanStatsJSON(st lsm.ScanStats) api.ScanStatsJSON {
 	}
 }
 
-// handleScan streams the response straight off a snapshot merge iterator:
-// the point set is encoded to the wire as it is merged, so the server never
+// bucketJSON converts one downsampled window to its wire form.
+func bucketJSON(b query.Bucket) api.BucketJSON {
+	return api.BucketJSON{
+		Start: b.Start, Count: b.Count, Min: b.Min, Max: b.Max,
+		Mean: b.Mean(), Sum: b.Sum, First: b.First, Last: b.Last,
+	}
+}
+
+// handleScan encodes the response straight off a snapshot merge iterator:
+// the point set is encoded as it is merged, so the server never
 // materializes a []series.Point for the range, and the engine lock is held
-// only for the O(1) snapshot. The body is the same api.ScanResponse object
-// as before, with "points" first and "count"/"stats" (only known at the
-// end) trailing — JSON object field order is insignificant to decoders.
+// only for the O(1) snapshot. The body is an api.ScanResponse object with
+// "points" first and "count"/"stats" (only known at the end) trailing —
+// JSON object field order is insignificant to decoders.
 func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 	s.scanRequests.Add(1)
 	name, lo, hi, ok := s.rangeParams(w, r)
@@ -410,32 +419,33 @@ func (s *Server) handleScan(w http.ResponseWriter, r *http.Request) {
 		s.queryError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriterSize(w, 32<<10)
-	nameJSON, _ := json.Marshal(name)
-	fmt.Fprintf(bw, `{"series":%s,"points":[`, nameJSON)
+	rb := newRespBuf(w, http.StatusOK)
+	rb.str(`{"series":`)
+	rb.json(name)
+	rb.str(`,"points":[`)
 	n := 0
 	for it.Next() {
 		if n > 0 {
-			bw.WriteByte(',')
+			rb.str(",")
 		}
 		p := it.Point()
-		pj, _ := json.Marshal(api.PointJSON{TG: p.TG, TA: p.TA, V: p.V})
-		bw.Write(pj)
+		rb.room()
+		rb.b = api.AppendPoint(rb.b, p.TG, p.TA, p.V)
 		n++
 	}
 	st := it.Stats()
-	stJSON, _ := json.Marshal(scanStatsJSON(st))
+	rb.str(`],"count":`)
+	rb.b = strconv.AppendInt(rb.b, int64(n), 10)
+	rb.str(`,"stats":`)
+	rb.json(scanStatsJSON(st))
 	if err := it.Err(); err != nil {
-		// The 200 header and a prefix of the points are already on the
-		// wire; all we can do is mark the body as truncated.
-		errJSON, _ := json.Marshal(err.Error())
-		fmt.Fprintf(bw, "],\"count\":%d,\"stats\":%s,\"error\":%s}\n", n, stJSON, errJSON)
-	} else {
-		fmt.Fprintf(bw, "],\"count\":%d,\"stats\":%s}\n", n, stJSON)
+		// A prefix of the points may already be on the wire under a 200;
+		// all we can do is mark the body as truncated.
+		rb.str(`,"error":`)
+		rb.json(err.Error())
 	}
-	bw.Flush()
+	rb.str("}\n")
+	rb.finish()
 	s.scannedPoints.Add(int64(n))
 	s.observeRead(name, st, time.Since(start))
 }
@@ -462,18 +472,17 @@ func (s *Server) handleAggregate(w http.ResponseWriter, r *http.Request) {
 	}
 	s.scannedPoints.Add(int64(st.ResultPoints))
 	s.observeRead(name, st, time.Since(start))
-	resp := api.AggregateResponse{
-		Series: name, Width: width,
-		Buckets: make([]api.BucketJSON, len(buckets)),
-		Stats:   scanStatsJSON(st),
-	}
-	for i, b := range buckets {
-		resp.Buckets[i] = api.BucketJSON{
-			Start: b.Start, Count: b.Count, Min: b.Min, Max: b.Max,
-			Mean: b.Mean(), Sum: b.Sum, First: b.First, Last: b.Last,
-		}
-	}
-	s.writeJSON(w, http.StatusOK, resp)
+	rb := newRespBuf(w, http.StatusOK)
+	rb.str(`{"series":`)
+	rb.json(name)
+	rb.str(`,"width":`)
+	rb.b = strconv.AppendInt(rb.b, width, 10)
+	rb.str(`,"buckets":`)
+	rb.buckets(buckets)
+	rb.str(`,"stats":`)
+	rb.json(scanStatsJSON(st))
+	rb.str("}\n")
+	rb.finish()
 }
 
 func (s *Server) handleSeries(w http.ResponseWriter, r *http.Request) {
@@ -597,19 +606,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		s.queryError(w, err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusOK)
-	bw := bufio.NewWriterSize(w, 32<<10)
-	mj, _ := json.Marshal(index.FormatMatchers(ms))
-	fmt.Fprintf(bw, `{"matchers":%s,"results":[`, mj)
+	rb := newRespBuf(w, http.StatusOK)
+	rb.str(`{"matchers":`)
+	rb.json(index.FormatMatchers(ms))
+	rb.str(`,"results":[`)
 	for i := range results {
 		if i > 0 {
-			bw.WriteByte(',')
+			rb.str(",")
 		}
-		rj, _ := json.Marshal(querySeriesJSON(&results[i]))
-		bw.Write(rj)
+		rb.queryRow(&results[i])
 	}
-	stJSON, _ := json.Marshal(api.QueryStatsJSON{
+	rb.str(`],"stats":`)
+	rb.json(api.QueryStatsJSON{
 		SeriesMatched:  qs.SeriesMatched,
 		SeriesQueried:  qs.SeriesQueried,
 		SeriesFailed:   qs.SeriesFailed,
@@ -618,39 +626,62 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		PointsReturned: qs.PointsReturned,
 		Workers:        qs.Workers,
 	})
-	fmt.Fprintf(bw, "],\"stats\":%s}\n", stJSON)
-	bw.Flush()
+	rb.str("}\n")
+	rb.finish()
 	s.scannedPoints.Add(int64(qs.PointsReturned))
 }
 
-// querySeriesJSON converts one fan-out result to its wire row.
-func querySeriesJSON(res *tsdb.SeriesResult) api.QuerySeriesJSON {
-	row := api.QuerySeriesJSON{
-		ID:     res.ID,
-		Labels: res.Labels.Map(),
-		Stats:  scanStatsJSON(res.Stats),
+// queryRow appends one fan-out result as its api.QuerySeriesJSON wire row:
+// a failed series carries its error and no data, an aggregate query its
+// buckets, a raw one its points; an empty list is left out (omitempty).
+func (rb *respBuf) queryRow(res *tsdb.SeriesResult) {
+	rb.str(`{"id":`)
+	rb.json(res.ID)
+	if len(res.Labels) > 0 {
+		rb.str(`,"labels":`)
+		rb.json(res.Labels.Map())
 	}
-	if res.Err != nil {
-		row.Error = res.Err.Error()
-		return row
-	}
-	if res.Buckets != nil {
-		row.Buckets = make([]api.BucketJSON, len(res.Buckets))
-		for i, b := range res.Buckets {
-			row.Buckets[i] = api.BucketJSON{
-				Start: b.Start, Count: b.Count, Min: b.Min, Max: b.Max,
-				Mean: b.Mean(), Sum: b.Sum, First: b.First, Last: b.Last,
+	n := 0
+	switch {
+	case res.Err != nil:
+	case len(res.Buckets) > 0:
+		n = len(res.Buckets)
+		rb.str(`,"buckets":`)
+		rb.buckets(res.Buckets)
+	case len(res.Points) > 0:
+		n = len(res.Points)
+		rb.str(`,"points":[`)
+		for i, p := range res.Points {
+			if i > 0 {
+				rb.str(",")
 			}
+			rb.room()
+			rb.b = api.AppendPoint(rb.b, p.TG, p.TA, p.V)
 		}
-		row.Count = len(row.Buckets)
-		return row
+		rb.str("]")
 	}
-	row.Points = make([]api.PointJSON, len(res.Points))
-	for i, p := range res.Points {
-		row.Points[i] = api.PointJSON{TG: p.TG, TA: p.TA, V: p.V}
+	rb.str(`,"count":`)
+	rb.b = strconv.AppendInt(rb.b, int64(n), 10)
+	rb.str(`,"stats":`)
+	rb.json(scanStatsJSON(res.Stats))
+	if res.Err != nil {
+		rb.str(`,"error":`)
+		rb.json(res.Err.Error())
 	}
-	row.Count = len(row.Points)
-	return row
+	rb.str("}")
+}
+
+// buckets appends bs as a JSON array of api.BucketJSON rows.
+func (rb *respBuf) buckets(bs []query.Bucket) {
+	rb.str("[")
+	for i, b := range bs {
+		if i > 0 {
+			rb.str(",")
+		}
+		rb.room()
+		rb.b = api.AppendBucket(rb.b, bucketJSON(b))
+	}
+	rb.str("]")
 }
 
 // seriesStatsJSON converts one series' engine counters to their wire form.
@@ -872,10 +903,80 @@ func (s *Server) queryError(w http.ResponseWriter, err error) {
 	}
 }
 
+// respBufSize is the capacity of the pooled response buffer. A body that
+// fits is sent with Content-Length in one Write; a longer one streams
+// through it, so a response costs O(buffer) memory however long the scan.
+const respBufSize = 32 << 10
+
+// respBuf builds one JSON response in a pooled buffer. Handlers append to
+// b, calling room before each repeated row. Nothing reaches the wire before
+// the buffer first fills, so until then an encoding failure can still be
+// answered with a 500.
+type respBuf struct {
+	w      http.ResponseWriter
+	b      []byte
+	status int
+	sent   bool  // header and a first part of the body are on the wire
+	err    error // first encoding failure
+}
+
+func newRespBuf(w http.ResponseWriter, status int) respBuf {
+	return respBuf{w: w, b: arena.GetBytes(respBufSize)[:0], status: status}
+}
+
+func (rb *respBuf) str(s string) { rb.b = append(rb.b, s...) }
+
+// json appends v as encoding/json writes it. It serves the parts that occur
+// once per response or per series (names, label sets, stats objects); the
+// rows that repeat per point go through the api append encoders.
+func (rb *respBuf) json(v any) {
+	b, err := json.Marshal(v)
+	if err != nil && rb.err == nil {
+		rb.err = err
+	}
+	rb.b = append(rb.b, b...)
+}
+
+// room sends the buffer on when it has less than one row of space left.
+func (rb *respBuf) room() {
+	if cap(rb.b)-len(rb.b) < api.MaxRowLen {
+		rb.send()
+	}
+}
+
+func (rb *respBuf) send() {
+	if !rb.sent {
+		rb.sent = true
+		rb.w.Header().Set("Content-Type", "application/json")
+		rb.w.WriteHeader(rb.status)
+	}
+	rb.w.Write(rb.b) // a write error means the client has gone: nothing to report to
+	rb.b = rb.b[:0]
+}
+
+// finish sends what is buffered, as the whole body with its Content-Length
+// when nothing was sent before, and returns the buffer to the pool. A body
+// that failed to encode becomes a 500 unless part of it is already out, in
+// which case it stays cut short and no JSON decoder accepts it.
+func (rb *respBuf) finish() {
+	if !rb.sent {
+		if rb.err != nil {
+			rb.status, rb.b = http.StatusInternalServerError, rb.b[:0]
+			rb.json(api.ErrorResponse{Error: "encode response: " + rb.err.Error()})
+			rb.str("\n")
+		}
+		rb.w.Header().Set("Content-Length", strconv.Itoa(len(rb.b)))
+	}
+	rb.send()
+	arena.PutBytes(rb.b)
+	rb.b = nil
+}
+
 func (s *Server) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(v)
+	rb := newRespBuf(w, status)
+	rb.json(v)
+	rb.str("\n")
+	rb.finish()
 }
 
 func (s *Server) writeError(w http.ResponseWriter, status int, format string, args ...any) {
